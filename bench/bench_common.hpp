@@ -9,17 +9,16 @@
 //                     (default 1.0 = paper-sized; use e.g. 0.2 for smoke runs)
 //   TPI_BENCH_JOBS    worker threads for the sweep grid
 //                     (default: hardware concurrency; 1 = serial)
-//   TPI_ATPG_JOBS     fault-simulation worker threads inside each cell's
-//                     ATPG stage (default 1: the grid already runs cells in
-//                     parallel; raise it for single-circuit runs). Results
-//                     are bit-identical at any value.
+//   TPI_ATPG_JOBS     fault-simulation chunks per ATPG grading step, forked
+//                     onto the sweep's pool (default 1: the grid already
+//                     runs cells in parallel). Results are bit-identical at
+//                     any value.
 //   TPI_BENCH_JSON    path to write the aggregate per-stage timing report
 //                     (google-benchmark-style JSON with a "metrics"
 //                     snapshot; default: not written)
 //   TPI_TRACE         path to write a Chrome trace-event JSON of the run
 //                     (load in chrome://tracing or Perfetto; default: off)
 //   TPI_LOG_LEVEL     debug|info|warn|error|silent (default warn)
-//   TPI_BENCH_VERBOSE legacy alias: set (and TPI_LOG_LEVEL unset) = info
 #pragma once
 
 #include <cstdio>

@@ -15,6 +15,7 @@
 #include "sta/sta.hpp"
 #include "tpi/tpi.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 #include "verify/equiv.hpp"
 #include "verify/miter.hpp"
@@ -133,10 +134,13 @@ const Netlist& grade_netlist() { return grade_netlist_mutable(); }
 // 512-lane wide batch, the same logical work the scalar substrate did as
 // 8 sequential 64-pattern batches (items_per_second stays in 64-pattern
 // fault-grade units for comparability). Arg = fault-sim worker threads
-// (results are bit-identical across args; only the wall clock moves).
+// (results are bit-identical across args; only the wall clock moves); the
+// grading runs on a pool of that many workers so its chunks really fork.
 void BM_FaultGradeLive(benchmark::State& state) {
   const CombModel model(grade_netlist(), SeqView::kCapture);
-  FaultSimBank bank(model, static_cast<int>(state.range(0)));
+  const int jobs = static_cast<int>(state.range(0));
+  FaultSimBank bank(model, jobs);
+  ThreadPool pool(static_cast<unsigned>(jobs));
   bank.configure_lanes(kMaxLaneWords);
   FaultList fl = build_fault_list(model);
   std::vector<Fault*> live;
@@ -150,7 +154,7 @@ void BM_FaultGradeLive(benchmark::State& state) {
   for (auto _ : state) {
     for (auto& w : words) w = rng.next_u64();
     bank.load_batch(words);
-    bank.grade(live, detect);
+    pool.submit([&] { bank.grade(live, detect); }).get();
     benchmark::DoNotOptimize(detect.data());
   }
   state.SetItemsProcessed(state.iterations() * kMaxLaneWords *
@@ -166,14 +170,15 @@ BENCHMARK(BM_FaultGradeLive)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMilliseco
 
 // Whole ATPG stage (all three phases) on the largest generated profile the
 // microbench uses — the single-circuit wall clock the sweep cannot hide.
-// Arg = AtpgOptions::jobs.
+// Arg = AtpgOptions::jobs, run on a pool of that many workers.
 void BM_AtpgStage(benchmark::State& state) {
   const CombModel model(scan_netlist(), SeqView::kCapture);
   const TestabilityResult t = analyze_testability(model);
   AtpgOptions opts;
   opts.jobs = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<unsigned>(opts.jobs));
   for (auto _ : state) {
-    const AtpgResult r = run_atpg(model, t, opts);
+    const AtpgResult r = pool.submit([&] { return run_atpg(model, t, opts); }).get();
     benchmark::DoNotOptimize(r.detected);
   }
 }

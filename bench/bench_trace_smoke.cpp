@@ -5,7 +5,8 @@
 // events, the stage and kernel span names present — and checks the
 // FlowResult metrics snapshot carries the expected counters. A second
 // section runs 4 concurrent flows, each under its own per-job TraceSink,
-// and asserts every sink's JSON carries only its own job's spans (the
+// and asserts every sink's JSON carries its own job's spans, forked
+// fault-sim chunks included, and only those (the
 // concurrent-trace-clobbering regression check; the TSan build makes it a
 // data-race check too). Exits non-zero on the first failed check so the
 // ctest target fails loudly.
@@ -70,7 +71,12 @@ int main() {
   TracingFlowObserver observer;
   FlowEngine engine(*lib, profile, opts);
   engine.set_observer(&observer);
-  const FlowResult& res = engine.run();
+  {
+    // On a pool worker, so the fault-sim chunks fork onto the other worker.
+    ThreadPool pool(2);
+    pool.submit([&] { engine.run(); }).get();
+  }
+  const FlowResult& res = engine.result();
 
   check(observer.stages_begun() == 6, "observer saw 6 stage begins");
   check(observer.stages_ended() == 6, "observer saw 6 stage ends");
@@ -120,9 +126,7 @@ int main() {
         done.push_back(pool.submit([&, j] {
           ScopedTraceSink scope(*sinks[static_cast<std::size_t>(j)]);
           trace_instant(kMarkers[j]);
-          FlowOptions o = opts;
-          o.atpg.jobs = 1;  // inner-pool spans would land in the global log
-          FlowEngine e(*lib, small, o);
+          FlowEngine e(*lib, small, opts);
           e.run();
         }));
       }
@@ -140,6 +144,7 @@ int main() {
       }
       check(contains(sink_json, "\"process_name\""), "sink has a process_name row");
       check(contains(sink_json, "tpi_scan"), "sink has the job's stage spans");
+      check(contains(sink_json, "atpg.grade_chunk"), "sink has the job's forked spans");
       for (int other = 0; other < kJobs; ++other) {
         const bool expect = other == j;
         if (contains(sink_json, kMarkers[other]) != expect) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -136,10 +135,7 @@ FaultSimBank::FaultSimBank(const CombModel& model, int jobs) {
   if (n < 1) n = 1;
   sims_.reserve(n);
   for (unsigned i = 0; i < n; ++i) sims_.push_back(std::make_unique<FaultSimulator>(model));
-  if (n > 1) pool_ = std::make_unique<ThreadPool>(n);
 }
-
-FaultSimBank::~FaultSimBank() = default;
 
 void FaultSimBank::configure_lanes(int lane_words) {
   for (auto& sim : sims_) sim->configure_lanes(lane_words);
@@ -162,22 +158,16 @@ void FaultSimBank::grade(const std::vector<Fault*>& faults, std::vector<Word>& d
   const std::size_t workers = sims_.size();
   // Tiny lists are not worth the dispatch; the result is identical either
   // way (each fault is graded exactly once, output indexed by position).
-  if (pool_ == nullptr || n < static_cast<std::size_t>(kWordBits) * workers) {
+  if (workers == 1 || n < static_cast<std::size_t>(kWordBits) * workers) {
     sims_.front()->grade(faults.data(), n, detect.data());
     return;
   }
-  std::vector<std::future<void>> done;
-  done.reserve(workers);
-  for (std::size_t c = 0; c < workers; ++c) {
+  ThreadPool::parallel_for(workers, [&](std::size_t c) {
     const std::size_t lo = n * c / workers;
     const std::size_t hi = n * (c + 1) / workers;
-    if (lo == hi) continue;
-    done.push_back(pool_->submit([this, &faults, &detect, nw, c, lo, hi] {
-      TPI_SPAN("atpg.grade_chunk");
-      sims_[c]->grade(faults.data() + lo, hi - lo, detect.data() + lo * nw);
-    }));
-  }
-  for (auto& f : done) f.get();
+    TPI_SPAN("atpg.grade_chunk");
+    sims_[c]->grade(faults.data() + lo, hi - lo, detect.data() + lo * nw);
+  });
 }
 
 FaultSimBank::DropOutcome FaultSimBank::grade_and_drop(std::vector<Fault*>& live) {

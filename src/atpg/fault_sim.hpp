@@ -18,9 +18,10 @@
 // kernel backends.
 //
 // FaultSimBank partitions a fault list across per-worker FaultSimulator
-// instances (shared read-only CombModel, per-worker faulty-value scratch)
-// and merges detection results in fault-list order, so the outcome is
-// bit-identical to the serial path at any worker count.
+// instances (shared read-only CombModel, per-worker faulty-value scratch),
+// grades the chunks through ThreadPool::parallel_for and merges detection
+// results in fault-list order, so the outcome is bit-identical to the
+// serial path at any worker count.
 //
 // Transition faults are graded over launch-on-capture pattern pairs loaded
 // with load_batch_loc(): the launch frame V1 is simulated, the capture
@@ -43,8 +44,6 @@
 #include "sim/parallel_sim.hpp"
 
 namespace tpi {
-
-class ThreadPool;
 
 /// Mask selecting the first (lowest-index) detecting pattern of a batch:
 /// pattern k lives in bit k, so the first detector is the least-significant
@@ -136,16 +135,17 @@ class FaultSimulator {
 
 /// Deterministic parallel fault grading: the live fault list is split into
 /// one contiguous chunk per worker (chunk boundaries depend only on the
-/// list length and the worker count, never on scheduling), each worker
-/// grades its chunk on its own FaultSimulator, and the caller-visible merge
-/// happens on the calling thread in fault-list order. Result: bit-identical
-/// to the serial path for any `jobs`.
+/// list length and the worker count, never on scheduling), each chunk is
+/// graded on its own FaultSimulator as one ThreadPool::parallel_for item,
+/// and the caller-visible merge happens on the calling thread in
+/// fault-list order. Result: bit-identical to the serial path for any
+/// `jobs`. The chunks run concurrently only when the bank is used on a
+/// ThreadPool worker; elsewhere they run one after another.
 class FaultSimBank {
  public:
-  /// jobs = 1 is serial (no pool); jobs <= 0 selects
+  /// jobs = 1 is serial; jobs <= 0 selects
   /// ThreadPool::default_concurrency().
   explicit FaultSimBank(const CombModel& model, int jobs = 1);
-  ~FaultSimBank();
 
   FaultSimBank(const FaultSimBank&) = delete;
   FaultSimBank& operator=(const FaultSimBank&) = delete;
@@ -187,7 +187,6 @@ class FaultSimBank {
 
  private:
   std::vector<std::unique_ptr<FaultSimulator>> sims_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when jobs() == 1
   std::vector<Word> detect_buf_;
 };
 

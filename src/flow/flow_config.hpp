@@ -1,15 +1,12 @@
 // FlowConfig — the one typed configuration object for a flow run.
 //
-// Before PR 6 the flow's configuration was spread across three layers:
-// typed FlowOptions, the deprecated run_atpg/run_sta booleans, and ~8
-// TPI_* environment lookups scattered over bench_common, log.cpp and
-// fuzz.cpp. FlowConfig consolidates all of it: one struct holding the
-// FlowOptions, the StageMask, the job counts and the seeds, buildable
+// One struct holding the FlowOptions, the StageMask, the job counts and
+// the seeds, buildable
 //
 //   * from the environment  — FlowConfig::from_env(), the single place
 //     TPI_BENCH_JOBS / TPI_ATPG_JOBS / TPI_FAULT_MODEL / TPI_BENCH_SCALE /
 //     TPI_BENCH_JSON / TPI_TRACE / TPI_TRACE_DIR / TPI_LEDGER /
-//     TPI_LOG_LEVEL (+ TPI_BENCH_VERBOSE alias) / TPI_FUZZ_SEED /
+//     TPI_LOG_LEVEL / TPI_FUZZ_SEED /
 //     TPI_FUZZ_ITERS / TPI_SERVER_SOCKET / TPI_SERVER_CACHE_MB /
 //     TPI_SERVER_QUEUE_LIMIT / TPI_SIMD / TPI_SOC_CORES /
 //     TPI_SOC_TAM_WIDTH / TPI_SOC_SCHEDULE are parsed and validated;
@@ -75,11 +72,9 @@ struct FlowConfig {
   /// Uniform profile scale factor (TPI_BENCH_SCALE); 1.0 = paper-sized.
   double scale = 1.0;
   /// Typed flow options: tp_percent, TPI method, seeds, AtpgOptions
-  /// (including atpg.jobs), verify budget. The deprecated
-  /// run_atpg/run_sta booleans inside are ignored by FlowConfig
-  /// consumers — `stages` below is authoritative.
+  /// (including atpg.jobs), verify budget.
   FlowOptions options;
-  /// Stages to run, replacing the run_atpg/run_sta booleans.
+  /// Stages to run.
   StageMask stages = StageMask::all();
   /// Flow-server scheduling priority: higher runs first; FIFO within one
   /// priority level.

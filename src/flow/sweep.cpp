@@ -9,7 +9,6 @@
 #include <optional>
 #include <utility>
 
-#include "flow/flow_config.hpp"
 #include "flow/flow_json.hpp"
 #include "util/ledger.hpp"
 #include "util/log.hpp"
@@ -205,81 +204,90 @@ std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circu
   return jobs;
 }
 
+std::vector<double> run_sweep_cells(
+    const SweepOptions& opts, int jobs, const std::vector<std::string>& labels,
+    const std::function<void(std::size_t)>& run_cell,
+    const std::function<SweepLedgerLine(std::size_t)>& ledger_line) {
+  const std::string& trace_dir = opts.trace_dir;
+  if (!trace_dir.empty()) ::mkdir(trace_dir.c_str(), 0777);  // EEXIST is fine
+  std::unique_ptr<Ledger> ledger;
+  if (!opts.ledger.empty()) ledger = std::make_unique<Ledger>(opts.ledger);
+
+  std::vector<double> wall_ms(labels.size(), 0.0);
+  ThreadPool pool(static_cast<unsigned>(jobs));
+  std::vector<std::future<void>> done;
+  done.reserve(labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    done.push_back(pool.submit([&, i] {
+      const std::string& label = labels[i];
+      if (opts.progress) std::fprintf(stderr, "[sweep] %s...\n", label.c_str());
+      // Per-cell flight recorder: the cell's spans, forked work included,
+      // go to its own sink, so concurrent cells never share a trace file.
+      std::unique_ptr<TraceSink> sink;
+      if (!trace_dir.empty()) {
+        sink = std::make_unique<TraceSink>(static_cast<std::uint64_t>(i + 1), label);
+      }
+      const auto t0 = Clock::now();
+      {
+        std::optional<ScopedTraceSink> scope;
+        if (sink != nullptr) scope.emplace(*sink);
+        run_cell(i);
+      }
+      wall_ms[i] = ms_since(t0);
+      if (sink != nullptr) {
+        sink->write_json(trace_dir + "/" + sanitize_trace_label(label) + ".trace.json");
+      }
+    }));
+  }
+  // Collect in cell order; future::get() rethrows a cell's exception.
+  // Ledger lines are appended here too, so their order is deterministic.
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    done[i].get();
+    if (ledger == nullptr) continue;
+    const SweepLedgerLine line = ledger_line(i);
+    const JsonParseResult cfg_json = json_parse(line.config.to_json());
+    ledger->append(labels[i], cfg_json.ok ? cfg_json.value : JsonValue(JsonObject{}),
+                   line.result);
+  }
+  return wall_ms;
+}
+
 SweepReport SweepRunner::run(const CellLibrary& lib, std::vector<SweepJob> jobs) const {
   SweepReport report;
   report.jobs = effective_jobs();
-  report.cells.reserve(jobs.size());
 
-  struct CellOut {
-    FlowResult result;
-    double wall_ms;
-  };
-
-  const bool progress = opts_.progress;
-  FlowObserver* observer = opts_.observer;
-  const std::string& trace_dir = opts_.trace_dir;
-  if (!trace_dir.empty()) ::mkdir(trace_dir.c_str(), 0777);  // EEXIST is fine
-  std::unique_ptr<Ledger> ledger;
-  if (!opts_.ledger.empty()) ledger = std::make_unique<Ledger>(opts_.ledger);
+  std::vector<std::string> labels;
+  labels.reserve(jobs.size());
+  for (const SweepJob& job : jobs) labels.push_back(job.label);
+  std::vector<FlowResult> results(jobs.size());
 
   const auto sweep_t0 = Clock::now();
-  std::vector<std::future<CellOut>> futures;
-  futures.reserve(jobs.size());
-  {
-    ThreadPool pool(static_cast<unsigned>(report.jobs));
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const SweepJob& job = jobs[i];
-      futures.push_back(pool.submit([&lib, &job, &trace_dir, i, progress, observer] {
-        if (progress) std::fprintf(stderr, "[sweep] %s...\n", job.label.c_str());
-        // Per-cell flight recorder: this worker's spans go to the cell's
-        // own sink, so concurrent cells never share a trace file.
-        std::unique_ptr<TraceSink> sink;
-        if (!trace_dir.empty()) {
-          sink = std::make_unique<TraceSink>(static_cast<std::uint64_t>(i + 1),
-                                             job.label);
-        }
-        const auto t0 = Clock::now();
-        FlowEngine engine(lib, job.profile, job.options);
-        engine.set_job_label(job.label);
-        engine.set_observer(observer);
-        {
-          std::optional<ScopedTraceSink> scope;
-          if (sink != nullptr) scope.emplace(*sink);
-          engine.run(job.stages);
-        }
-        if (sink != nullptr) {
-          sink->write_json(trace_dir + "/" + sanitize_trace_label(job.label) +
-                           ".trace.json");
-        }
-        return CellOut{engine.result(), ms_since(t0)};
-      }));
-    }
-    // Collect in submission order so the report layout matches the grid
-    // regardless of scheduling; future::get() rethrows task exceptions.
-    // Ledger lines are appended here too, so their order is deterministic.
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      CellOut out = futures[i].get();
-      if (ledger != nullptr) {
-        FlowConfig cell_cfg;
-        cell_cfg.profile = jobs[i].profile.name;
-        cell_cfg.options = jobs[i].options;
-        cell_cfg.stages = jobs[i].stages;
-        const JsonParseResult cfg_json = json_parse(cell_cfg.to_json());
-        ledger->append(jobs[i].label,
-                       cfg_json.ok ? cfg_json.value : JsonValue(JsonObject{}),
-                       flow_result_to_json_value(out.result));
-      }
-      report.cells.push_back(
-          {std::move(jobs[i]), std::move(out.result), out.wall_ms});
-    }
-  }
+  const std::vector<double> wall_ms = run_sweep_cells(
+      opts_, report.jobs, labels,
+      [&](std::size_t i) {
+        FlowEngine engine(lib, jobs[i].profile, jobs[i].options);
+        engine.set_job_label(jobs[i].label);
+        engine.set_observer(opts_.observer);
+        results[i] = engine.run(jobs[i].stages);
+      },
+      [&](std::size_t i) {
+        SweepLedgerLine line;
+        line.config.profile = jobs[i].profile.name;
+        line.config.options = jobs[i].options;
+        line.config.stages = jobs[i].stages;
+        line.result = flow_result_to_json_value(results[i]);
+        return line;
+      });
   report.wall_ms = ms_since(sweep_t0);
-  for (const SweepCellResult& cell : report.cells) {
-    report.cpu_ms += cell.wall_ms;
+
+  report.cells.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    report.cpu_ms += wall_ms[i];
     for (const Stage s : kAllStages) {
-      report.stage_total_ms[static_cast<std::size_t>(s)] += cell.result.timings[s];
+      report.stage_total_ms[static_cast<std::size_t>(s)] += results[i].timings[s];
     }
-    report.metrics.merge(cell.result.metrics);
+    report.metrics.merge(results[i].metrics);
+    report.cells.push_back({std::move(jobs[i]), std::move(results[i]), wall_ms[i]});
   }
   return report;
 }

@@ -1,6 +1,7 @@
 // Parallel sweep runner for the paper's experiment grids. Every table in
 // the paper is a (circuit × tp_percent) grid of independent full-layout
-// runs; SweepRunner executes such a grid on a fixed-size thread pool with
+// runs; SweepRunner executes such a grid on a fixed-size thread pool
+// (run_sweep_cells, shared with the SOC grid runner) with
 // deterministic per-task seeding (each cell's seeds derive only from its
 // FlowOptions::seed and CircuitProfile::seed, never from scheduling), so
 // the results are bit-identical at any job count — including jobs = 1,
@@ -13,14 +14,15 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "flow/flow.hpp"
+#include "flow/flow_config.hpp"
+#include "util/json.hpp"
 
 namespace tpi {
-
-struct FlowConfig;  // flow_config.hpp
 
 /// Collision-free file-name form of a job label: `[A-Za-z0-9.=-]` bytes
 /// pass through, every other byte becomes `_` + two lowercase hex digits
@@ -56,6 +58,27 @@ struct SweepOptions {
   /// deterministic flow result is appended in submission order. Empty = off.
   std::string ledger;
 };
+
+/// A finished cell's run-ledger line: its effective config (fingerprinted
+/// by the ledger) and its deterministic result JSON.
+struct SweepLedgerLine {
+  FlowConfig config;
+  JsonValue result;
+};
+
+/// The per-cell scaffolding every grid runner shares: runs run_cell(i) for
+/// each of labels.size() cells on one ThreadPool of `jobs` workers (work
+/// a cell forks with ThreadPool::parallel_for spreads over the same
+/// pool). Each cell is timed and, when opts.trace_dir is set, records
+/// into its own TraceSink, written as
+/// <trace_dir>/<sanitize_trace_label(label)>.trace.json. Back on the
+/// calling thread, in cell order, ledger_line(i) is appended to
+/// opts.ledger when set. Returns the per-cell wall clocks in ms; a cell's
+/// exception is rethrown after the remaining cells finish.
+std::vector<double> run_sweep_cells(const SweepOptions& opts, int jobs,
+                                    const std::vector<std::string>& labels,
+                                    const std::function<void(std::size_t)>& run_cell,
+                                    const std::function<SweepLedgerLine(std::size_t)>& ledger_line);
 
 struct SweepCellResult {
   SweepJob job;

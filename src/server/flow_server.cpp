@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -117,16 +118,14 @@ void FlowServer::run_job(const std::shared_ptr<Job>& job) {
   bool cancelled = false;
   try {
     if (job->config.soc.cores > 0) {
-      // SOC job: per-core flows on a private pool (this thread is itself a
-      // pool worker and the pool has no work stealing, so nesting core
-      // tasks onto pool_ could deadlock); the daemon's design cache is
-      // shared, so repeated chips hit warm cores.
+      // SOC job: the per-core flows fork onto this server's pool; the
+      // daemon's design cache is shared, so repeated chips hit warm cores.
       SocRunner runner(job->config);
       SocResult res;
       {
         std::optional<ScopedTraceSink> scope;
         if (sink != nullptr) scope.emplace(*sink);
-        res = runner.run(*lib_, nullptr, cache_.get(), &job->cancel);
+        res = runner.run(*lib_, cache_.get(), &job->cancel);
       }
       cancelled = res.cancelled;
       flow_json = soc_result_to_json(res);
@@ -252,28 +251,29 @@ std::string FlowServer::handle_request(const std::string& line) {
       if (!cfg.resolve_profile(profile, &err)) return fail(err);
     }
 
-    // Admission control: reject instead of queueing when the pool backlog
-    // is at the limit. The depth is advisory (another submit may race in),
-    // but the bound holds: a job is only enqueued after this check.
-    if (opts_.max_queue_depth > 0) {
-      const std::size_t depth = pool_->pending();
-      if (depth >= static_cast<std::size_t>(opts_.max_queue_depth)) {
-        metrics_.add("server.jobs_rejected");
-        JsonValue resp{JsonObject{}};
-        resp.set("id", id);
-        resp.set("error", "queue_full");
-        resp.set("queue_depth", static_cast<std::int64_t>(depth));
-        resp.set("queue_limit", opts_.max_queue_depth);
-        return resp.serialise();
-      }
-    }
-
     auto job = std::make_shared<Job>();
     job->config = std::move(cfg);
     job->submitted = Clock::now();
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (shutdown_requested_ || stopping_) return fail("server is shutting down");
+      // Admission control: reject instead of queueing when the backlog of
+      // queued jobs is at the limit. Counted from the job table, not the
+      // pool queue, which also holds fork helpers of running jobs.
+      if (opts_.max_queue_depth > 0) {
+        const std::int64_t depth = std::count_if(jobs_.begin(), jobs_.end(), [](const auto& kv) {
+          return kv.second->state == JobState::kQueued;
+        });
+        if (depth >= opts_.max_queue_depth) {
+          metrics_.add("server.jobs_rejected");
+          JsonValue resp{JsonObject{}};
+          resp.set("id", id);
+          resp.set("error", "queue_full");
+          resp.set("queue_depth", depth);
+          resp.set("queue_limit", opts_.max_queue_depth);
+          return resp.serialise();
+        }
+      }
       job->id = next_job_id_++;
       jobs_[job->id] = job;
       ++jobs_submitted_;
@@ -475,18 +475,32 @@ void FlowServer::accept_loop() {
 }
 
 void FlowServer::serve_connection(int fd) {
-  std::string buf;
+  std::string line;  // the request line received so far
   char chunk[4096];
-  for (;;) {
+  bool open = true;
+  while (open) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n <= 0) break;
-    buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while ((pos = buf.find('\n')) != std::string::npos) {
-      const std::string line = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
-      if (line.empty()) continue;
-      if (!send_all(fd, handle_request(line) + '\n')) break;
+    const char* p = chunk;
+    const char* const end = chunk + n;
+    while (open && p < end) {
+      const char* nl =
+          static_cast<const char*>(std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+      line.append(p, nl != nullptr ? nl : end);
+      if (line.size() > kMaxRequestBytes) {
+        JsonValue resp{JsonObject{}};
+        resp.set("id", JsonValue());
+        resp.set("error", "request_too_large");
+        resp.set("request_limit", static_cast<std::int64_t>(kMaxRequestBytes));
+        send_all(fd, resp.serialise() + '\n');
+        open = false;
+      } else if (nl != nullptr) {
+        p = nl + 1;
+        if (!line.empty()) open = send_all(fd, handle_request(line) + '\n');
+        line.clear();
+      } else {
+        p = end;
+      }
     }
   }
   ::close(fd);

@@ -74,7 +74,7 @@ struct FlowServerOptions {
   int cache_mb = 256; ///< DesignCache budget
   std::string socket_path = "tpi_server.sock";
   /// Admission control: a submit arriving while this many jobs already
-  /// wait in the pool queue (not yet running) is rejected with a
+  /// wait in the queue (not yet running) is rejected with a
   /// structured "queue_full" error carrying the current depth, instead of
   /// queueing unboundedly. 0 = unlimited (the seed behavior). From
   /// FlowConfig::server_queue_limit / TPI_SERVER_QUEUE_LIMIT.
@@ -87,6 +87,10 @@ struct FlowServerOptions {
 
 class FlowServer {
  public:
+  /// Longest accepted request line. A connection whose line grows past it
+  /// gets a structured "request_too_large" error and is closed.
+  static constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
   /// Options derived from `base`: workers = effective_bench_jobs(),
   /// cache_mb / socket_path from the server_* fields. `base` is also the
   /// layer submit params are applied over.

@@ -85,7 +85,7 @@ struct SimKernels {
   /// Full-sweep good-value evaluation of model.eval_ops() (honours
   /// copy_of dedup) over `values` (num_nets * nw words).
   void (*sweep)(const CombModel& model, Word* values, int nw);
-  /// Full-sweep two-plane ternary evaluation (build-selected encoding;
+  /// Full-sweep two-plane ternary evaluation (EncVC planes;
   /// honours copy_of) over plane arrays p/q (num_nets * nw words each).
   void (*tern_sweep)(const CombModel& model, Word* p, Word* q, int nw);
   /// Event-driven grading of `count` faults against the good state:

@@ -117,7 +117,6 @@ void sweep_impl(const CombModel& model, Word* v) {
 
 template <int NW>
 void tern_sweep_impl(const CombModel& model, Word* p, Word* q) {
-  using Enc = TernEncoding;
   for (const EvalOp& op : model.eval_ops()) {
     if (op.out == kNoNet) continue;
     const std::size_t ob = static_cast<std::size_t>(op.out) * NW;
@@ -130,7 +129,7 @@ void tern_sweep_impl(const CombModel& model, Word* p, Word* q) {
       continue;
     }
     if (op.num_inputs == 0) {
-      for (int j = 0; j < NW; ++j) Enc::x(p[ob + j], q[ob + j]);
+      for (int j = 0; j < NW; ++j) EncVC::x(p[ob + j], q[ob + j]);
       continue;
     }
     for (int j = 0; j < NW; ++j) {
@@ -148,11 +147,11 @@ void tern_sweep_impl(const CombModel& model, Word* p, Word* q) {
         sp = p[b];
         sq = q[b];
       } else {
-        Enc::zero(sp, sq);  // matches eval_node_word's implicit select = 0
+        EncVC::zero(sp, sq);  // matches eval_node_word's implicit select = 0
       }
       Word rp;
       Word rq;
-      eval_node_planes<Enc>(op.func, op.num_inputs, inp, inq, sp, sq, rp, rq);
+      eval_node_planes(op.func, op.num_inputs, inp, inq, sp, sq, rp, rq);
       p[ob + j] = rp;
       q[ob + j] = rq;
     }

@@ -1,25 +1,18 @@
-// Bit-parallel two-plane ternary (0/1/X) encodings, as a compile-time
-// policy.
+// Bit-parallel two-plane ternary (0/1/X) encoding.
 //
 // The scalar Tern byte array in ternary.cpp evaluates one value per net
 // visit; a two-plane encoding packs 64 independent ternary values into a
 // pair of words, so a full-lane sweep grades 64 (or, at super-batch width,
-// 512) X-propagation trajectories per node. Two encodings are provided and
-// selected at build time — the same way voiraig selects its ternary0..5
-// encodings per build — via -DTPI_TERNARY_ENCODING=zo (CMake option;
-// value/care is the default):
+// 512) X-propagation trajectories per node. EncVC is value/care:
 //
-//   EncVC — plane p = value, plane q = care. care=1: the lane is a known
-//           0/1 held in p; care=0: the lane is X and p is canonically 0
-//           (invariant p & ~q == 0, every op below preserves it).
-//   EncZO — plane p = "definitely 0", plane q = "definitely 1"
-//           (invariant p & q == 0). NOT is a plane swap; AND/OR are two
-//           ops per word — cheaper for inverter-heavy X sweeps.
+//   plane p = value, plane q = care. care=1: the lane is a known 0/1 held
+//   in p; care=0: the lane is X and p is canonically 0 (invariant
+//   p & ~q == 0, every op below preserves it).
 //
-// Both encode exactly the ternary algebra of sim/ternary.hpp (including
+// It encodes exactly the ternary algebra of sim/ternary.hpp (including
 // tern_mux's "select unknown, outputs agree" rule); the truth-table test
 // asserts equality against eval_node_tern for every op and every {0,1,X}
-// input combination, for both encodings.
+// input combination.
 #pragma once
 
 #include "sim/parallel_sim.hpp"
@@ -29,7 +22,6 @@ namespace tpi {
 
 /// Value/care planes: p=value, q=care (1 = known). X is (0,0).
 struct EncVC {
-  static constexpr const char* kName = "vc";
   static void zero(Word& p, Word& q) { p = 0; q = ~Word{0}; }
   static void one(Word& p, Word& q) { p = ~Word{0}; q = ~Word{0}; }
   static void x(Word& p, Word& q) { p = 0; q = 0; }
@@ -69,63 +61,22 @@ struct EncVC {
   }
 };
 
-/// Zero/one planes: p = definitely-0, q = definitely-1. X is (0,0).
-struct EncZO {
-  static constexpr const char* kName = "zo";
-  static void zero(Word& p, Word& q) { p = ~Word{0}; q = 0; }
-  static void one(Word& p, Word& q) { p = 0; q = ~Word{0}; }
-  static void x(Word& p, Word& q) { p = 0; q = 0; }
-  static void from_bits(Word bits, Word& p, Word& q) { p = ~bits; q = bits; }
-  static Word ones(Word p, Word q) { (void)p; return q; }
-  static Word zeros(Word p, Word q) { (void)q; return p; }
-
-  static void not_(Word ap, Word aq, Word& p, Word& q) {
-    p = aq;
-    q = ap;
-  }
-  static void and_(Word ap, Word aq, Word bp, Word bq, Word& p, Word& q) {
-    p = ap | bp;
-    q = aq & bq;
-  }
-  static void or_(Word ap, Word aq, Word bp, Word bq, Word& p, Word& q) {
-    p = ap & bp;
-    q = aq | bq;
-  }
-  static void xor_(Word ap, Word aq, Word bp, Word bq, Word& p, Word& q) {
-    p = (ap & bp) | (aq & bq);
-    q = (ap & bq) | (aq & bp);
-  }
-  static void mux_(Word ap, Word aq, Word bp, Word bq, Word sp, Word sq, Word& p, Word& q) {
-    p = (sp & ap) | (sq & bp) | (ap & bp);
-    q = (sp & aq) | (sq & bq) | (aq & bq);
-  }
-};
-
-/// The build-selected encoding (CMake option TPI_TERNARY_ENCODING).
-#ifdef TPI_TERNARY_ENCODING_ZO
-using TernEncoding = EncZO;
-#else
-using TernEncoding = EncVC;
-#endif
-
 /// Encode a scalar Tern into all 64 lanes of a plane pair.
-template <typename Enc>
 inline void encode_tern(Tern t, Word& p, Word& q) {
   if (t == Tern::k0) {
-    Enc::zero(p, q);
+    EncVC::zero(p, q);
   } else if (t == Tern::k1) {
-    Enc::one(p, q);
+    EncVC::one(p, q);
   } else {
-    Enc::x(p, q);
+    EncVC::x(p, q);
   }
 }
 
 /// Decode one lane of a plane pair back to a scalar Tern.
-template <typename Enc>
 inline Tern decode_tern(Word p, Word q, int lane) {
   const Word bit = Word{1} << lane;
-  if (Enc::ones(p, q) & bit) return Tern::k1;
-  if (Enc::zeros(p, q) & bit) return Tern::k0;
+  if (EncVC::ones(p, q) & bit) return Tern::k1;
+  if (EncVC::zeros(p, q) & bit) return Tern::k0;
   return Tern::kX;
 }
 
@@ -133,7 +84,6 @@ inline Tern decode_tern(Word p, Word q, int lane) {
 /// each logic input (and the MUX select) in, one plane pair out. Mirrors
 /// eval_node_word's op coverage and eval_node_tern's semantics; shared by
 /// the NW-word sweep kernels (applied per word) and the truth-table test.
-template <typename Enc>
 inline void eval_node_planes(CellFunc func, int num_inputs, const Word* inp, const Word* inq,
                              Word selp, Word selq, Word& p, Word& q) {
   switch (func) {
@@ -144,13 +94,13 @@ inline void eval_node_planes(CellFunc func, int num_inputs, const Word* inp, con
       q = inq[0];
       return;
     case CellFunc::kInv:
-      Enc::not_(inp[0], inq[0], p, q);
+      EncVC::not_(inp[0], inq[0], p, q);
       return;
     case CellFunc::kAnd:
     case CellFunc::kNand: {
       Word ap = inp[0], aq = inq[0];
-      for (int i = 1; i < num_inputs; ++i) Enc::and_(ap, aq, inp[i], inq[i], ap, aq);
-      if (func == CellFunc::kNand) Enc::not_(ap, aq, ap, aq);
+      for (int i = 1; i < num_inputs; ++i) EncVC::and_(ap, aq, inp[i], inq[i], ap, aq);
+      if (func == CellFunc::kNand) EncVC::not_(ap, aq, ap, aq);
       p = ap;
       q = aq;
       return;
@@ -158,8 +108,8 @@ inline void eval_node_planes(CellFunc func, int num_inputs, const Word* inp, con
     case CellFunc::kOr:
     case CellFunc::kNor: {
       Word ap = inp[0], aq = inq[0];
-      for (int i = 1; i < num_inputs; ++i) Enc::or_(ap, aq, inp[i], inq[i], ap, aq);
-      if (func == CellFunc::kNor) Enc::not_(ap, aq, ap, aq);
+      for (int i = 1; i < num_inputs; ++i) EncVC::or_(ap, aq, inp[i], inq[i], ap, aq);
+      if (func == CellFunc::kNor) EncVC::not_(ap, aq, ap, aq);
       p = ap;
       q = aq;
       return;
@@ -167,18 +117,18 @@ inline void eval_node_planes(CellFunc func, int num_inputs, const Word* inp, con
     case CellFunc::kXor:
     case CellFunc::kXnor: {
       Word ap = inp[0], aq = inq[0];
-      for (int i = 1; i < num_inputs; ++i) Enc::xor_(ap, aq, inp[i], inq[i], ap, aq);
-      if (func == CellFunc::kXnor) Enc::not_(ap, aq, ap, aq);
+      for (int i = 1; i < num_inputs; ++i) EncVC::xor_(ap, aq, inp[i], inq[i], ap, aq);
+      if (func == CellFunc::kXnor) EncVC::not_(ap, aq, ap, aq);
       p = ap;
       q = aq;
       return;
     }
     case CellFunc::kMux2:
-      Enc::mux_(inp[0], inq[0], inp[1], inq[1], selp, selq, p, q);
+      EncVC::mux_(inp[0], inq[0], inp[1], inq[1], selp, selq, p, q);
       return;
     default:
       // eval_node_tern returns X for anything it does not model.
-      Enc::x(p, q);
+      EncVC::x(p, q);
       return;
   }
 }

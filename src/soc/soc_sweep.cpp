@@ -1,17 +1,11 @@
 #include "soc/soc_sweep.hpp"
 
-#include <sys/stat.h>
-
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <optional>
 #include <utility>
 
-#include "flow/flow_config.hpp"
-#include "util/ledger.hpp"
 #include "util/log.hpp"
-#include "util/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tpi {
 namespace {
@@ -76,7 +70,6 @@ std::vector<SocSweepJob> SocSweepRunner::grid(const std::vector<int>& cores,
         job.options.flow = config.options;
         job.options.flow.tp_percent = pct;
         job.options.stages = config.stages;
-        job.options.jobs = config.effective_bench_jobs();
         jobs.push_back(std::move(job));
       }
     }
@@ -88,50 +81,29 @@ SocSweepReport SocSweepRunner::run(const CellLibrary& lib,
                                    std::vector<SocSweepJob> jobs) const {
   SocSweepReport report;
   report.jobs = effective_jobs();
-  report.cells.reserve(jobs.size());
 
-  const std::string& trace_dir = opts_.trace_dir;
-  if (!trace_dir.empty()) ::mkdir(trace_dir.c_str(), 0777);  // EEXIST is fine
-  std::unique_ptr<Ledger> ledger;
-  if (!opts_.ledger.empty()) ledger = std::make_unique<Ledger>(opts_.ledger);
-
-  // One pool + one cache across the whole grid; cells run on this thread,
-  // so the pool only ever executes leaf (core-flow) tasks.
-  ThreadPool pool(static_cast<unsigned>(report.jobs));
+  std::vector<std::string> labels;
+  labels.reserve(jobs.size());
+  for (const SocSweepJob& job : jobs) labels.push_back(job.label);
+  std::vector<SocResult> results(jobs.size());
+  // One cache across the grid: every cell re-instantiates the same scaled
+  // paper profiles, so most cores check out warm entries.
   DesignCache cache(lib, std::size_t{256} << 20);
 
   const auto sweep_t0 = Clock::now();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    SocSweepJob& job = jobs[i];
-    if (opts_.progress) std::fprintf(stderr, "[soc-sweep] %s...\n", job.label.c_str());
-    std::unique_ptr<TraceSink> sink;
-    if (!trace_dir.empty()) {
-      sink = std::make_unique<TraceSink>(static_cast<std::uint64_t>(i + 1), job.label);
-    }
-    const auto t0 = Clock::now();
-    SocRunner runner(job.options);
-    SocResult result;
-    {
-      std::optional<ScopedTraceSink> scope;
-      if (sink != nullptr) scope.emplace(*sink);
-      result = runner.run(lib, &pool, &cache);
-    }
-    const double wall = ms_since(t0);
-    if (sink != nullptr) {
-      sink->write_json(trace_dir + "/" + sanitize_trace_label(job.label) +
-                       ".trace.json");
-    }
-    if (ledger != nullptr) {
-      const JsonParseResult cfg_json = json_parse(cell_config(job).to_json());
-      ledger->append(job.label, cfg_json.ok ? cfg_json.value : JsonValue(JsonObject{}),
-                     soc_result_to_json_value(result));
-    }
-    report.cells.push_back({std::move(job), std::move(result), wall});
-  }
+  const std::vector<double> wall_ms = run_sweep_cells(
+      opts_, report.jobs, labels,
+      [&](std::size_t i) { results[i] = SocRunner(jobs[i].options).run(lib, &cache); },
+      [&](std::size_t i) {
+        return SweepLedgerLine{cell_config(jobs[i]), soc_result_to_json_value(results[i])};
+      });
   report.wall_ms = ms_since(sweep_t0);
-  for (const SocSweepCellResult& cell : report.cells) {
-    report.cpu_ms += cell.wall_ms;
-    report.metrics.merge(cell.result.metrics);
+
+  report.cells.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    report.cpu_ms += wall_ms[i];
+    report.metrics.merge(results[i].metrics);
+    report.cells.push_back({std::move(jobs[i]), std::move(results[i]), wall_ms[i]});
   }
   return report;
 }

@@ -1,11 +1,9 @@
 // Sweep runner for SOC-scale grids: cores x TAM width x tp_percent, each
-// cell one full chip (SocRunner). The parallelism is inverted relative to
-// SweepRunner — cells run sequentially on the caller thread while each
-// cell's per-core flows fan out onto one shared ThreadPool (the pool has
-// no work stealing, so nesting cell tasks over core tasks on one pool
-// could deadlock). A shared DesignCache spans the grid: every cell
-// re-instantiates the same scaled paper profiles, so later cells hit warm
-// entries.
+// cell one full chip (SocRunner). Cells run on the pool of the shared
+// sweep scaffolding (run_sweep_cells) exactly like SweepRunner cells, and
+// each chip forks its per-core flows onto that same pool. A shared
+// DesignCache spans the grid: every cell re-instantiates the same scaled
+// paper profiles, so later cells hit warm entries.
 //
 // Reporting mirrors SweepRunner: google-benchmark-style JSON with one
 // entry per chip, per-cell flight-recorder traces under
@@ -34,7 +32,7 @@ struct SocSweepCellResult {
 
 struct SocSweepReport {
   std::vector<SocSweepCellResult> cells;  ///< in job submission order
-  int jobs = 1;                           ///< core-flow worker threads
+  int jobs = 1;                           ///< pool worker threads
   double wall_ms = 0.0;
   double cpu_ms = 0.0;
   /// Per-cell SocResult metrics merged in grid order (deterministic subset
@@ -55,8 +53,8 @@ class SocSweepRunner {
   /// Runner sized from a unified FlowConfig (jobs, trace_dir, ledger).
   explicit SocSweepRunner(const FlowConfig& config);
 
-  /// Run all cells (sequentially; per-core flows in parallel). A cell's
-  /// exception propagates after the shared pool drains.
+  /// Run all cells on one pool; a cell's exception propagates after the
+  /// remaining cells finish.
   SocSweepReport run(const CellLibrary& lib, std::vector<SocSweepJob> jobs) const;
 
   /// The SOC grid: every (cores, tam_width, tp_percent) triple in

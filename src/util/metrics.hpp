@@ -14,8 +14,9 @@
 // innermost ScopedMetricsRegistry on the calling thread, or the process
 // global when none is active. FlowEngine scopes each stage to its own
 // registry, so per-flow snapshots stay isolated even when many flows run
-// concurrently on a sweep pool; worker threads of inner pools (fault-sim
-// bank, thread-pool latency hooks) fall through to the global registry.
+// concurrently on a sweep pool. ThreadPool::parallel_for re-scopes the
+// forking thread's registry on its helpers; the pool's own latency hooks
+// record into the global registry.
 #pragma once
 
 #include <array>

@@ -1,12 +1,16 @@
-// Fixed-size thread pool used by the sweep runner and the flow server to
-// execute independent flow runs concurrently. Deliberately minimal: a
-// single priority queue (stable FIFO within one priority level), no work
-// stealing, futures for results and exception propagation. Plain submit()
-// enqueues at priority 0, so a pool fed only through submit() behaves
-// exactly like the original FIFO pool; submit_prioritized() lets the flow
-// server run urgent tenants ahead of queued batch work. With one worker
-// the pool degrades to deterministic serial execution, which the
-// parallel-vs-serial equivalence tests rely on.
+// Fixed-size thread pool: the one executor of an entry point (the sweep
+// runner and the flow server each own one). A single priority queue
+// (stable FIFO within one priority level), futures for results and
+// exception propagation. Plain submit() enqueues at priority 0;
+// submit_prioritized() lets the flow server run urgent tenants ahead of
+// queued batch work. With one worker the pool degrades to deterministic
+// serial execution, which the parallel-vs-serial equivalence tests rely on.
+//
+// Nested parallelism (fault-sim chunks inside a flow, core flows inside
+// an SOC chip) goes through the fork-join parallel_for(), never through
+// submit() + future::get() from a worker: a worker blocking on a task
+// queued behind it on its own pool can deadlock, while parallel_for's
+// caller only ever waits on items that a running thread has claimed.
 //
 // Every task's queue wait (submit -> dequeue) and run latency are recorded
 // into MetricsRegistry::global() as the rt.threadpool.* histograms, so the
@@ -19,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -43,12 +48,31 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Tasks not yet picked up by a worker.
-  std::size_t pending() const;
-
   /// std::thread::hardware_concurrency() with a floor of 1 (the standard
   /// allows it to return 0 when unknowable).
   static unsigned default_concurrency();
+
+  /// The pool whose worker is running the calling thread; nullptr on any
+  /// other thread.
+  static ThreadPool* current();
+
+  /// Fork-join: run fn(i) for every i in [0, n) and return once all have
+  /// finished. On a worker thread the items are shared with current()'s
+  /// other workers: the calling thread claims items itself from a shared
+  /// atomic index, and up to size()-1 helper tasks queued at kForkPriority
+  /// claim the rest. The caller waits only for items already running, so
+  /// nested forks cannot deadlock at any pool size (1 included); a helper
+  /// that runs after every item was claimed returns at once. On any other
+  /// thread the items run inline, in index order. Every item runs under
+  /// the calling thread's ScopedTraceSink and ScopedMetricsRegistry, so
+  /// what it records never depends on which thread ran it. When items
+  /// throw, all items still run and the exception of the lowest-index
+  /// throwing item is rethrown.
+  static void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+  /// Fork helpers run ahead of every queued job (job priorities are
+  /// bounded well below this).
+  static constexpr int kForkPriority = std::numeric_limits<int>::max();
 
   /// Enqueue `fn` at priority 0 and return a future for its result. An
   /// exception thrown by the task is captured and rethrown from
@@ -68,8 +92,7 @@ class ThreadPool {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_) throw std::runtime_error("ThreadPool: submit() after shutdown");
-      queue_.push(Task{[task] { (*task)(); }, std::chrono::steady_clock::now(), priority,
-                       next_seq_++});
+      push_locked(priority, [task] { (*task)(); });
     }
     cv_.notify_one();
     return fut;
@@ -90,6 +113,7 @@ class ThreadPool {
     }
   };
 
+  void push_locked(int priority, std::function<void()> fn);
   void worker_loop();
 
   mutable std::mutex mu_;

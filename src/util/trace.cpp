@@ -276,6 +276,8 @@ bool TraceSink::write_json(const std::string& path) const {
   return write_string(to_json(), path, "trace sink");
 }
 
+TraceSink* current_trace_sink() { return trace_detail::t_sink; }
+
 ScopedTraceSink::ScopedTraceSink(TraceSink& sink) : prev_(trace_detail::t_sink) {
   trace_detail::t_sink = &sink;
   trace_detail::g_enabled.fetch_add(1, std::memory_order_relaxed);

@@ -21,8 +21,8 @@
 // for two traced jobs interleaving in one TPI_TRACE file. An active sink
 // also enables tracing on its own (refcounted into the same flag the
 // global switch uses), so per-job recording needs no process-wide enable.
-// Spans emitted by inner worker pools (fault-sim bank threads) have no
-// sink scope and keep landing in the global log.
+// ThreadPool::parallel_for re-scopes the forking thread's sink on every
+// helper thread, so a job's forked work lands in the job's sink too.
 //
 // Span names must outlive the export (string literals in practice): the
 // log stores the pointer, never a copy.
@@ -146,6 +146,9 @@ class ScopedTraceSink {
  private:
   TraceSink* prev_;
 };
+
+/// The innermost sink scoped on this thread, or nullptr.
+TraceSink* current_trace_sink();
 
 /// RAII span. Prefer the TPI_SPAN macro; construct directly only when the
 /// name is computed (it must still outlive the export).

@@ -226,25 +226,24 @@ bool EquivChecker::ternary_round(std::uint64_t round_seed, int frames, bool* pro
   // trajectories, every one from the all-X initial state. A definite 1 in
   // any lane is a counterexample valid from reset; a proof means the miter
   // output was a definite 0 in every lane of every frame.
-  using Enc = TernEncoding;
   constexpr std::size_t nw = static_cast<std::size_t>(kMaxLaneWords);
   Rng rng(round_seed);
   const std::size_t nets = static_cast<std::size_t>(model_.num_nets());
   std::vector<Word> plane_p(nets * nw, 0);
-  std::vector<Word> plane_q(nets * nw, 0);  // (0,0) == X in both encodings
+  std::vector<Word> plane_q(nets * nw, 0);  // (0,0) == X
   const std::size_t nff = model_.boundary_ffs().size();
   std::vector<Word> state_p(nff * nw, 0);
   std::vector<Word> state_q(nff * nw, 0);
   for (const NetId n : model_.const0_nets()) {
     for (std::size_t j = 0; j < nw; ++j) {
-      Enc::zero(plane_p[static_cast<std::size_t>(n) * nw + j],
-                plane_q[static_cast<std::size_t>(n) * nw + j]);
+      EncVC::zero(plane_p[static_cast<std::size_t>(n) * nw + j],
+                  plane_q[static_cast<std::size_t>(n) * nw + j]);
     }
   }
   for (const NetId n : model_.const1_nets()) {
     for (std::size_t j = 0; j < nw; ++j) {
-      Enc::one(plane_p[static_cast<std::size_t>(n) * nw + j],
-               plane_q[static_cast<std::size_t>(n) * nw + j]);
+      EncVC::one(plane_p[static_cast<std::size_t>(n) * nw + j],
+                 plane_q[static_cast<std::size_t>(n) * nw + j]);
     }
   }
   const auto& inputs = model_.input_nets();
@@ -259,7 +258,7 @@ bool EquivChecker::ternary_round(std::uint64_t round_seed, int frames, bool* pro
       for (std::size_t j = 0; j < nw; ++j) {
         const Word bits = rng.next_u64();
         pi_bits[i * nw + j] = bits;
-        Enc::from_bits(bits, plane_p[base + j], plane_q[base + j]);
+        EncVC::from_bits(bits, plane_p[base + j], plane_q[base + j]);
       }
     }
     pi_history.push_back(pi_bits);
@@ -280,8 +279,8 @@ bool EquivChecker::ternary_round(std::uint64_t round_seed, int frames, bool* pro
       Word known0 = ~Word{0};
       for (std::size_t i = 0; i < model_.num_po_observes(); ++i) {
         const std::size_t base = static_cast<std::size_t>(observes[i]) * nw;
-        ones |= Enc::ones(plane_p[base + j], plane_q[base + j]);
-        known0 &= Enc::zeros(plane_p[base + j], plane_q[base + j]);
+        ones |= EncVC::ones(plane_p[base + j], plane_q[base + j]);
+        known0 &= EncVC::zeros(plane_p[base + j], plane_q[base + j]);
       }
       if (known0 != ~Word{0}) all_zero = false;
       if (ones != 0) {

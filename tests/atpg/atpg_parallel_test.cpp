@@ -2,10 +2,14 @@
 // run_atpg must produce a bit-identical AtpgResult for any AtpgOptions::jobs
 // (FaultSimBank partitions deterministically and merges in fault-list
 // order). Runs at jobs ∈ {1, 2, hardware} on two generated circuit
-// profiles; carries the "smoke" ctest label so a -DTPI_SANITIZE=thread
-// build doubles as a data-race check of the new path.
+// profiles, each on a pool of `jobs` workers so the chunks really grade
+// concurrently; carries the "smoke" ctest label so a
+// -DTPI_SANITIZE=thread build doubles as a data-race check of the path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "../common/on_pool.hpp"
 #include "../common/test_circuits.hpp"
 #include "atpg/atpg.hpp"
 #include "circuits/generator.hpp"
@@ -32,7 +36,8 @@ AtpgResult run_with_jobs(const CircuitProfile& profile, int jobs, int test_point
   const TestabilityResult t = analyze_testability(model);
   AtpgOptions opts;
   opts.jobs = jobs;
-  return run_atpg(model, t, opts);
+  return test::on_pool(static_cast<unsigned>(std::max(jobs, 0)),
+                       [&] { return run_atpg(model, t, opts); });
 }
 
 void expect_bit_identical(const AtpgResult& a, const AtpgResult& b) {
@@ -122,7 +127,7 @@ TEST(AtpgParallelTest, BankGradeMatchesPerFaultDetects) {
     FaultSimBank bank(model, jobs);
     bank.load_batch(words);
     std::vector<Word> got;
-    bank.grade(faults, got);
+    test::on_pool(static_cast<unsigned>(jobs), [&] { bank.grade(faults, got); });
     EXPECT_EQ(got, expected) << "jobs=" << jobs;
     const FaultSimStats s = bank.take_stats();
     EXPECT_EQ(s.faults_graded, faults.size());

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "../common/on_pool.hpp"
 #include "../common/test_circuits.hpp"
 #include "atpg/atpg.hpp"
 #include "atpg/fault.hpp"
@@ -169,7 +170,7 @@ TEST(TransitionGradingTest, BankMatchesSerialAtAnyJobs) {
     FaultSimBank bank(model, jobs);
     bank.load_batch_loc(words);
     std::vector<Word> detect;
-    bank.grade(faults, detect);
+    test::on_pool(static_cast<unsigned>(jobs), [&] { bank.grade(faults, detect); });
     if (jobs == 1) {
       serial = detect;
     } else {
@@ -188,7 +189,7 @@ AtpgResult run_transition_atpg(std::uint64_t seed, int jobs) {
   AtpgOptions opts;
   opts.fault_model = FaultModel::kTransition;
   opts.jobs = jobs;
-  return run_atpg(model, t, opts);
+  return test::on_pool(static_cast<unsigned>(jobs), [&] { return run_atpg(model, t, opts); });
 }
 
 TEST(TransitionAtpgTest, EndToEndDeterministicAcrossJobs) {

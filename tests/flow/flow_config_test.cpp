@@ -134,19 +134,6 @@ TEST(FlowConfigTest, FromEnvKeepsBaseForUnsetAndInvalidValues) {
   EXPECT_EQ(cfg.fuzz_iters, 33);
 }
 
-TEST(FlowConfigTest, BenchVerboseAliasOnlyUpgradesFallback) {
-  {
-    const ScopedEnv v("TPI_BENCH_VERBOSE", "1");
-    const ScopedEnv l("TPI_LOG_LEVEL", nullptr);
-    EXPECT_EQ(FlowConfig::from_env().log_level, LogLevel::kInfo);
-  }
-  {
-    const ScopedEnv v("TPI_BENCH_VERBOSE", "1");
-    const ScopedEnv l("TPI_LOG_LEVEL", "silent");
-    EXPECT_EQ(FlowConfig::from_env().log_level, LogLevel::kSilent);
-  }
-}
-
 TEST(FlowConfigTest, FromJsonLayersOverBase) {
   FlowConfig base;
   base.options.atpg.jobs = 3;

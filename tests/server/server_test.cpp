@@ -6,6 +6,9 @@
 #include "server/flow_server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -18,6 +21,7 @@
 #include "server/client.hpp"
 #include "circuits/design_cache.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tpi {
 namespace {
@@ -299,6 +303,62 @@ TEST(FlowServerTest, SubmitRejectedWhenQueueFull) {
   EXPECT_EQ(wait_result(server, after).find("state")->as_string(), "done");
 }
 
+// Admission counts queued jobs, not pool tasks. A running atpg_jobs=4 job
+// forks its fault-sim chunks onto the server pool; while every other
+// worker is busy those fork helpers sit in the pool queue. Here job 1
+// parks the other worker and job 2's start hook forks the way its ATPG
+// would, so a helper is deterministically queued when job 3 arrives.
+TEST(FlowServerTest, AdmissionIgnoresForkHelpersOfRunningJobs) {
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  bool forked = false;
+  bool released = false;
+  FlowServerOptions opts;
+  opts.workers = 2;
+  opts.max_queue_depth = 1;
+  opts.on_job_start = [&](std::uint64_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++started == 2) {
+      lock.unlock();
+      ThreadPool::parallel_for(4, [](std::size_t) {});
+      lock.lock();
+      forked = true;
+    }
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
+  FlowServer server(tiny_base(), opts);
+
+  const std::uint64_t parked = submit(server, "{\"tp_percent\": 0.0}");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started == 1; });
+  }
+  const std::uint64_t forking = submit(server, "{\"tp_percent\": 0.0, \"atpg_jobs\": 4}");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return forked; });
+  }
+  // Both jobs run and no job is queued: one more is admitted...
+  const std::uint64_t queued = submit(server, "{\"tp_percent\": 0.0}");
+  // ...and it is the one that fills the queue.
+  const JsonValue resp = parse_response(server.handle_request(
+      "{\"id\": 7, \"method\": \"submit\", \"params\": {\"tp_percent\": 0.0}}"));
+  ASSERT_NE(resp.find("error"), nullptr);
+  EXPECT_EQ(resp.find("error")->as_string(), "queue_full");
+  EXPECT_EQ(resp.find("queue_depth")->as_number(), 1.0);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  for (const std::uint64_t job : {parked, forking, queued}) {
+    EXPECT_EQ(wait_result(server, job).find("state")->as_string(), "done");
+  }
+}
+
 // The engine-level cancellation contract the cancel RPC builds on: a token
 // flipped mid-run stops the flow at the next stage boundary, keeping
 // finished stages' results.
@@ -470,6 +530,34 @@ TEST(FlowServerTest, TraceRpcReturnsOnlyThatJobsSpans) {
   EXPECT_NE(err->as_string().find("record_trace"), std::string::npos);
 }
 
+// A traced SOC job forks its core flows onto the server pool; every fork
+// item records into the job's sink, so the trace holds each core flow's
+// stage spans whichever worker ran it.
+TEST(FlowServerTest, TracedSocJobHasSpansFromEveryCoreFlow) {
+  FlowServerOptions opts;
+  opts.workers = 4;
+  FlowServer server(tiny_base(), opts);
+  constexpr int kCores = 5;
+  const std::uint64_t job =
+      submit(server, "{\"tp_percent\": 1.0, \"record_trace\": true, "
+                     "\"soc\": {\"cores\": " + std::to_string(kCores) +
+                         ", \"tam_width\": 8}}");
+  ASSERT_EQ(wait_result(server, job).find("state")->as_string(), "done");
+  const JsonValue result = rpc_result(
+      server, "{\"id\": 8, \"method\": \"trace\", \"params\": {\"job\": " +
+                  std::to_string(job) + "}}");
+  const JsonValue* trace = result.find("trace");
+  ASSERT_NE(trace, nullptr);
+  for (const char* stage : {"tpi_scan", "reorder_atpg", "sta"}) {
+    int spans = 0;
+    for (const JsonValue& e : trace->find("traceEvents")->as_array()) {
+      const JsonValue* name = e.find("name");
+      spans += name != nullptr && name->is_string() && name->as_string() == stage;
+    }
+    EXPECT_EQ(spans, kCores) << stage;
+  }
+}
+
 TEST(FlowServerTest, TraceRpcRejectsNonTerminalJobs) {
   StartGate gate;
   FlowServerOptions opts;
@@ -595,6 +683,77 @@ TEST(FlowServerTest, SocketRoundTrip) {
   EXPECT_TRUE(parse_response(response).find("result")->find("ok")->as_bool());
   EXPECT_TRUE(server.shutdown_requested());
   client.close();
+  server.stop();
+}
+
+// Socket framing: requests split across sends and several per send are
+// answered in order; a line that outgrows kMaxRequestBytes without a
+// newline gets a structured request_too_large error and a closed
+// connection instead of an unbounded buffer.
+TEST(FlowServerTest, SocketFramingAndOversizedRequestLine) {
+  FlowServerOptions opts;
+  opts.workers = 1;
+  opts.socket_path =
+      "/tmp/tpi_server_test_framing_" + std::to_string(::getpid()) + ".sock";
+  FlowServer server(tiny_base(), opts);
+  std::string error;
+  ASSERT_TRUE(server.listen(&error)) << error;
+
+  const auto open_conn = [&] {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", opts.socket_path.c_str());
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    return fd;
+  };
+  const auto send_str = [](int fd, const std::string& data) {
+    std::size_t off = 0;
+    while (off < data.size()) {
+      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    return true;
+  };
+  // Read until `lines` newlines arrived or the peer closed.
+  const auto read_lines = [](int fd, int lines) {
+    std::string out;
+    char buf[4096];
+    while (lines > 0) {
+      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+      if (n <= 0) break;
+      for (ssize_t i = 0; i < n; ++i) lines -= buf[i] == '\n';
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+    return out;
+  };
+
+  const int fd = open_conn();
+  ASSERT_TRUE(send_str(fd, "{\"id\": 1, \"method\": \"stats\"}\n{\"id\": 2, "));
+  ASSERT_TRUE(send_str(fd, "\"method\": \"stats\"}\n"));
+  const std::string both = read_lines(fd, 2);
+  const std::size_t nl = both.find('\n');
+  ASSERT_NE(nl, std::string::npos);
+  EXPECT_EQ(parse_response(both.substr(0, nl)).find("id")->as_number(), 1.0);
+  EXPECT_EQ(parse_response(both.substr(nl + 1)).find("id")->as_number(), 2.0);
+
+  ASSERT_TRUE(send_str(fd, std::string(FlowServer::kMaxRequestBytes + 1, ' ')));
+  const std::string reply = read_lines(fd, 1);
+  const JsonValue resp = parse_response(reply.substr(0, reply.find('\n')));
+  ASSERT_NE(resp.find("error"), nullptr);
+  EXPECT_EQ(resp.find("error")->as_string(), "request_too_large");
+  EXPECT_EQ(resp.find("request_limit")->as_number(),
+            static_cast<double>(FlowServer::kMaxRequestBytes));
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // the server closed the connection
+  ::close(fd);
+
+  // The daemon itself keeps serving.
+  const int again = open_conn();
+  ASSERT_TRUE(send_str(again, "{\"id\": 3, \"method\": \"stats\"}\n"));
+  EXPECT_EQ(parse_response(read_lines(again, 1)).find("id")->as_number(), 3.0);
+  ::close(again);
   server.stop();
 }
 

@@ -1,7 +1,6 @@
-// Exhaustive equivalence of the two-plane ternary encodings against the
-// scalar reference: every op eval_node_tern models, every input count,
-// every {0,1,X} input (and MUX select) combination, for both EncVC and
-// EncZO — regardless of which one the build selected as TernEncoding.
+// Exhaustive equivalence of the two-plane EncVC ternary encoding against
+// the scalar reference: every op eval_node_tern models, every input count,
+// every {0,1,X} input (and MUX select) combination.
 #include "sim/ternary_planes.hpp"
 
 #include <gtest/gtest.h>
@@ -35,18 +34,15 @@ const std::vector<OpCase>& op_cases() {
 }
 
 /// Overwrite one lane of a plane pair with a scalar Tern.
-template <typename Enc>
 void set_lane(Word& p, Word& q, int lane, Tern t) {
   Word tp = 0, tq = 0;
-  encode_tern<Enc>(t, tp, tq);
+  encode_tern(t, tp, tq);
   const Word bit = Word{1} << lane;
   p = (p & ~bit) | (tp & bit);
   q = (q & ~bit) | (tq & bit);
 }
 
-template <typename Enc>
-void check_encoding() {
-  SCOPED_TRACE(Enc::kName);
+TEST(TernaryPlanesTest, ValueCareMatchesScalarReferenceExhaustively) {
   for (const OpCase& c : op_cases()) {
     for (int n = c.min_inputs; n <= c.max_inputs; ++n) {
       const int slots = n + (c.has_sel ? 1 : 0);
@@ -59,15 +55,15 @@ void check_encoding() {
       for (int lane = 0; lane < kWordBits; ++lane) {
         int idx = lane % combos;
         for (int i = 0; i < n; ++i) {
-          set_lane<Enc>(inp[i], inq[i], lane, kTerns[idx % 3]);
+          set_lane(inp[i], inq[i], lane, kTerns[idx % 3]);
           idx /= 3;
         }
-        set_lane<Enc>(sp, sq, lane, c.has_sel ? kTerns[idx % 3] : Tern::kX);
+        set_lane(sp, sq, lane, c.has_sel ? kTerns[idx % 3] : Tern::kX);
       }
       Word p = 0, q = 0;
-      eval_node_planes<Enc>(c.func, n, inp, inq, sp, sq, p, q);
-      // No lane may claim both definite values, whatever the encoding.
-      EXPECT_EQ(Enc::ones(p, q) & Enc::zeros(p, q), Word{0});
+      eval_node_planes(c.func, n, inp, inq, sp, sq, p, q);
+      // No lane may claim both definite values.
+      EXPECT_EQ(EncVC::ones(p, q) & EncVC::zeros(p, q), Word{0});
       for (int lane = 0; lane < kWordBits; ++lane) {
         int idx = lane % combos;
         CombNode node;
@@ -80,19 +76,11 @@ void check_encoding() {
         }
         const Tern sel = c.has_sel ? kTerns[idx % 3] : Tern::kX;
         const Tern expected = eval_node_tern(node, in, sel);
-        EXPECT_EQ(decode_tern<Enc>(p, q, lane), expected)
+        EXPECT_EQ(decode_tern(p, q, lane), expected)
             << "func=" << static_cast<int>(c.func) << " n=" << n << " lane=" << lane;
       }
     }
   }
-}
-
-TEST(TernaryPlanesTest, ValueCareMatchesScalarReferenceExhaustively) {
-  check_encoding<EncVC>();
-}
-
-TEST(TernaryPlanesTest, ZeroOneMatchesScalarReferenceExhaustively) {
-  check_encoding<EncZO>();
 }
 
 TEST(TernaryPlanesTest, ValueCarePreservesCanonicalInvariant) {
@@ -101,13 +89,13 @@ TEST(TernaryPlanesTest, ValueCarePreservesCanonicalInvariant) {
   for (const OpCase& c : op_cases()) {
     for (int n = c.min_inputs; n <= c.max_inputs; ++n) {
       Word inp[4], inq[4], sp = 0, sq = 0;
-      for (int i = 0; i < 4; ++i) encode_tern<EncVC>(Tern::kX, inp[i], inq[i]);
+      for (int i = 0; i < 4; ++i) encode_tern(Tern::kX, inp[i], inq[i]);
       for (int lane = 0; lane < kWordBits; ++lane) {
-        for (int i = 0; i < n; ++i) set_lane<EncVC>(inp[i], inq[i], lane, kTerns[(lane + i) % 3]);
-        set_lane<EncVC>(sp, sq, lane, kTerns[lane % 3]);
+        for (int i = 0; i < n; ++i) set_lane(inp[i], inq[i], lane, kTerns[(lane + i) % 3]);
+        set_lane(sp, sq, lane, kTerns[lane % 3]);
       }
       Word p = 0, q = 0;
-      eval_node_planes<EncVC>(c.func, n, inp, inq, sp, sq, p, q);
+      eval_node_planes(c.func, n, inp, inq, sp, sq, p, q);
       EXPECT_EQ(p & ~q, Word{0}) << "func=" << static_cast<int>(c.func) << " n=" << n;
     }
   }
@@ -116,10 +104,8 @@ TEST(TernaryPlanesTest, ValueCarePreservesCanonicalInvariant) {
 TEST(TernaryPlanesTest, EncodeDecodeRoundTrips) {
   for (const Tern t : kTerns) {
     Word p = 0, q = 0;
-    encode_tern<EncVC>(t, p, q);
-    for (const int lane : {0, 17, 63}) EXPECT_EQ((decode_tern<EncVC>(p, q, lane)), t);
-    encode_tern<EncZO>(t, p, q);
-    for (const int lane : {0, 17, 63}) EXPECT_EQ((decode_tern<EncZO>(p, q, lane)), t);
+    encode_tern(t, p, q);
+    for (const int lane : {0, 17, 63}) EXPECT_EQ(decode_tern(p, q, lane), t);
   }
   // from_bits: all lanes known, value straight from the bit.
   const Word bits = 0xDEADBEEFCAFEF00DULL;
@@ -127,9 +113,6 @@ TEST(TernaryPlanesTest, EncodeDecodeRoundTrips) {
   EncVC::from_bits(bits, p, q);
   EXPECT_EQ(EncVC::ones(p, q), bits);
   EXPECT_EQ(EncVC::zeros(p, q), ~bits);
-  EncZO::from_bits(bits, p, q);
-  EXPECT_EQ(EncZO::ones(p, q), bits);
-  EXPECT_EQ(EncZO::zeros(p, q), ~bits);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// SOC composer end-to-end: chip composition, bit-identical results at any
-// core-flow job count and SIMD backend, the SOC sweep grid, and an 8-core
-// chip job through the flow server with its ledger line.
+// SOC composer end-to-end: chip composition, bit-identical results whether
+// the core flows run serially or fork onto a pool, across SIMD backends,
+// the SOC sweep grid, and an 8-core chip job through the flow server with
+// its ledger line.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "../common/on_pool.hpp"
 #include "../common/test_circuits.hpp"
 #include "flow/flow_config.hpp"
 #include "server/flow_server.hpp"
@@ -53,32 +55,32 @@ TEST(SocCoreSpecsTest, CyclesProfilesDownTheSizeLadder) {
 }
 
 // Acceptance criterion: the chip-level result (including the scheduled
-// TAT) is byte-identical whether the core flows ran serially or on four
-// workers, and across every SIMD backend compiled into this build.
+// TAT) is byte-identical whether the core flows ran serially (off any
+// pool) or forked onto four workers, and across every SIMD backend
+// compiled into this build.
 TEST(SocRunnerTest, ResultBitIdenticalAcrossJobCountsAndBackends) {
-  SocOptions opts = tiny_soc(4, 16);
-  opts.jobs = 1;
-  const std::string reference = soc_result_to_json(SocRunner(opts).run(lib()));
+  const SocRunner runner(tiny_soc(4, 16));
+  const std::string reference = soc_result_to_json(runner.run(lib()));
   EXPECT_NE(reference.find("\"chip_tat_cycles\""), std::string::npos);
   EXPECT_NE(reference.find("\"soc.chip_tat_cycles\""), std::string::npos);
 
-  opts.jobs = 4;
-  EXPECT_EQ(soc_result_to_json(SocRunner(opts).run(lib())), reference);
+  const auto on_four = [&] {
+    return soc_result_to_json(test::on_pool(4, [&] { return runner.run(lib()); }));
+  };
+  EXPECT_EQ(on_four(), reference);
 
   for (const SimdBackend b :
        {SimdBackend::kScalar, SimdBackend::kAvx2, SimdBackend::kAvx512}) {
     if (!simd_backend_available(b)) continue;
     set_simd_backend(b);
-    EXPECT_EQ(soc_result_to_json(SocRunner(opts).run(lib())), reference)
-        << simd_backend_name(b);
+    EXPECT_EQ(on_four(), reference) << simd_backend_name(b);
   }
   set_simd_backend(std::nullopt);
 }
 
 TEST(SocRunnerTest, ScheduleBeatsSerialAndCoversEveryCore) {
-  SocOptions opts = tiny_soc(5, 8);
-  opts.jobs = 2;
-  const SocResult res = SocRunner(opts).run(lib());
+  const SocRunner runner(tiny_soc(5, 8));
+  const SocResult res = test::on_pool(2, [&] { return runner.run(lib()); });
   ASSERT_EQ(res.per_core.size(), 5u);
   EXPECT_GT(res.chip_tat_cycles, 0);
   EXPECT_LE(res.chip_tat_cycles, res.serial_tat_cycles);

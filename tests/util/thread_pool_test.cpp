@@ -4,8 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "util/metrics.hpp"
+#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
@@ -64,15 +70,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(done.load(), 64);
 }
 
-TEST(ThreadPoolTest, PendingDrainsToZero) {
-  ThreadPool pool(2);
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 8; ++i) futs.push_back(pool.submit([] {}));
-  for (auto& f : futs) f.get();
-  // Queue empty once everything completed.
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
 TEST(ThreadPoolTest, HigherPriorityJumpsTheQueue) {
   // Occupy the single worker with a gated task, queue work at mixed
   // priorities, then release: the backlog must drain highest-first with
@@ -116,6 +113,116 @@ TEST(ThreadPoolTest, ExecutesConcurrentlyWithMultipleWorkers) {
   auto b = pool.submit(wait_for_peer);
   EXPECT_TRUE(a.get());
   EXPECT_TRUE(b.get());
+}
+
+TEST(ParallelForTest, CurrentIsThePoolOfTheCallingWorker) {
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.submit([] { return ThreadPool::current(); }).get(), &pool);
+}
+
+TEST(ParallelForTest, RunsEveryItemOnceOnAndOffPool) {
+  const auto run = [] {
+    std::vector<std::atomic<int>> hits(100);
+    ThreadPool::parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  };
+  run();  // off any pool: inline
+  ThreadPool pool(4);
+  pool.submit(run).get();
+  ThreadPool::parallel_for(0, [](std::size_t) { FAIL(); });
+}
+
+// A forking worker never waits on a queued task, so forks nested three
+// deep complete even when the pool has a single worker to run them.
+TEST(ParallelForTest, NestedThreeLevelsCompleteAtAnyPoolSize) {
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    std::atomic<int> leaves{0};
+    pool.submit([&] {
+          ThreadPool::parallel_for(3, [&](std::size_t) {
+            ThreadPool::parallel_for(3, [&](std::size_t) {
+              ThreadPool::parallel_for(3, [&](std::size_t) { ++leaves; });
+            });
+          });
+        })
+        .get();
+    EXPECT_EQ(leaves.load(), 27);
+  }
+}
+
+TEST(ParallelForTest, LowestIndexExceptionWins) {
+  const auto run = [] {
+    std::atomic<int> ran{0};
+    try {
+      ThreadPool::parallel_for(8, [&](std::size_t i) {
+        ++ran;
+        if (i == 5 || i == 2 || i == 7) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "2");
+    }
+    EXPECT_EQ(ran.load(), 8);  // a throwing item does not cancel the rest
+  };
+  run();
+  ThreadPool pool(4);
+  pool.submit(run).get();
+}
+
+// The helper queued for a fork can be dequeued after its caller returned:
+// here the only other worker is parked, so the forking worker itself
+// dequeues the helper once its task is done. The helper must find nothing
+// left to run and touch none of the caller's state; fn lives on the heap
+// and is freed first, so a stray call trips ASan.
+TEST(ParallelForTest, HelperDequeuedAfterCallerReturnedIsHarmless) {
+  ThreadPool pool(2);
+  std::promise<void> parked;
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  auto blocker = pool.submit([&parked, open] {
+    parked.set_value();
+    open.wait();
+  });
+  parked.get_future().wait();
+
+  std::atomic<int> ran{0};
+  pool.submit([&ran] {
+        auto fn = std::make_unique<std::function<void(std::size_t)>>(
+            [&ran](std::size_t) { ++ran; });
+        ThreadPool::parallel_for(2, *fn);
+      })
+      .get();
+  pool.submit([] {}).get();  // queued behind the helper, so it ran first
+  EXPECT_EQ(ran.load(), 2);
+  gate.set_value();
+  blocker.get();
+}
+
+// Items record into the forking thread's trace sink and metrics registry
+// whichever thread runs them.
+TEST(ParallelForTest, ItemsInheritTheCallersTraceSinkAndRegistry) {
+  ThreadPool pool(4);
+  TraceSink sink(7, "fork");
+  MetricsRegistry registry;
+  pool.submit([&] {
+        const ScopedTraceSink trace(sink);
+        const ScopedMetricsRegistry scope(registry);
+        ThreadPool::parallel_for(64, [](std::size_t) {
+          TPI_SPAN("fork.item");
+          metrics().add("fork.items");
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        });
+      })
+      .get();
+  EXPECT_EQ(sink.event_count(), 64u);
+  const MetricsSnapshot snap = registry.snapshot();
+  const MetricValue* items = snap.find("fork.items");
+  ASSERT_NE(items, nullptr);
+  EXPECT_EQ(items->count, 64u);
+  const MetricsSnapshot global = MetricsRegistry::global().snapshot();
+  EXPECT_EQ(global.find("fork.items"), nullptr);
 }
 
 }  // namespace
